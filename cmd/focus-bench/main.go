@@ -574,25 +574,21 @@ func (h *harness) alignbench() error {
 	return enc.Encode(rows)
 }
 
-// overlapbench times candidate generation and end-to-end overlap
-// discovery for the k-mer-table probe engine vs the sparse-matrix SpGEMM
-// engine on a repeat-heavy read set (a high-copy interspersed repeat
-// whose seeds all cross the MaxOccur threshold), the workload where
-// per-seed masked binary-search probes dominate the table path. Both
-// engines are checked to produce identical surviving-candidate totals
-// and identical overlap records before anything is timed, so the
-// comparison is apples-to-apples by construction. Samples alternate
-// between the engines round-robin before taking the per-probe minimum
-// (same discipline as alignbench), and a spmat serial-vs-parallel pair
-// feeds the governor regression gate in scripts/bench.sh. Results land
-// in BENCH_overlap.json.
+// overlapbench times the overlap stage on a repeat-heavy read set (a
+// high-copy interspersed repeat whose seeds all cross the MaxOccur
+// threshold): candidate generation alone, and the whole stage with one
+// worker and with the governor's default fan-out. The serial-vs-parallel
+// pair feeds the governor regression gate in scripts/bench.sh. Samples
+// alternate between the probes round-robin before taking the per-probe
+// minimum (same discipline as alignbench). Results land in
+// BENCH_overlap.json.
 func (h *harness) overlapbench() error {
 	// Repeat-heavy data set: 96 copies of a 600 bp repeat interspersed
 	// with 600 bp of unique sequence, tiled into error-free 100 bp reads
-	// at 2.5x coverage, probed with dense seeding (Step=1, the all-k-mer
-	// regime of the SpGEMM literature). Every repeat k-mer occurs far above MaxOccur=64
-	// even when the reads are split across 3 subsets. (Kept identical to
-	// repeatHeavyReads in the overlap package's benchmarks.)
+	// at 2.5x coverage, probed with dense seeding (Step=1). Every repeat
+	// k-mer occurs far above MaxOccur=64 even when the reads are split
+	// across 3 subsets. (Kept identical to repeatHeavyReads in the overlap
+	// package's benchmarks.)
 	rng := rand.New(rand.NewSource(11))
 	bases := []byte("ACGT")
 	seq := func(n int) []byte {
@@ -614,42 +610,21 @@ func (h *harness) overlapbench() error {
 	}
 	const subsets = 3
 
-	probeCfg := overlap.DefaultConfig()
-	probeCfg.Step = 1
-	spmatCfg := probeCfg
-	spmatCfg.Engine = overlap.EngineSpGEMM
+	cfg := overlap.DefaultConfig()
+	cfg.Step = 1
+	serial := cfg
+	serial.Workers = 1
 
-	// Equivalence gate before timing: identical candidate totals and
-	// byte-identical records, or the numbers below are meaningless.
-	nProbe, err := overlap.CountCandidates(reads, subsets, probeCfg)
+	nCand, err := overlap.CountCandidates(reads, subsets, cfg)
 	if err != nil {
 		return err
 	}
-	nSpmat, err := overlap.CountCandidates(reads, subsets, spmatCfg)
+	recs, err := overlap.FindOverlaps(reads, subsets, cfg)
 	if err != nil {
 		return err
 	}
-	if nProbe != nSpmat || nProbe == 0 {
-		return fmt.Errorf("overlapbench: candidate totals diverge: probe=%d spmat=%d", nProbe, nSpmat)
-	}
-	recProbe, err := overlap.FindOverlaps(reads, subsets, probeCfg)
-	if err != nil {
-		return err
-	}
-	recSpmat, err := overlap.FindOverlaps(reads, subsets, spmatCfg)
-	if err != nil {
-		return err
-	}
-	if len(recProbe) != len(recSpmat) {
-		return fmt.Errorf("overlapbench: record counts diverge: probe=%d spmat=%d", len(recProbe), len(recSpmat))
-	}
-	for i := range recProbe {
-		if recProbe[i] != recSpmat[i] {
-			return fmt.Errorf("overlapbench: record %d diverges between engines", i)
-		}
-	}
-	fmt.Printf("Overlap engines — k-mer-table probe vs SpGEMM (%d reads, %d subsets, %d candidates, %d records)\n",
-		len(reads), subsets, nProbe, len(recProbe))
+	fmt.Printf("Overlap stage — k-mer table (%d reads, %d subsets, %d candidates, %d records)\n",
+		len(reads), subsets, nCand, len(recs))
 
 	candgen := func(cfg overlap.Config) func(b *testing.B) {
 		return func(b *testing.B) {
@@ -671,18 +646,13 @@ func (h *harness) overlapbench() error {
 			}
 		}
 	}
-	spmatSerial := spmatCfg
-	spmatSerial.Workers = 1
 	probes := []struct {
 		name string
 		fn   func(b *testing.B)
 	}{
-		{"overlap_candgen_kmertable", candgen(probeCfg)},
-		{"overlap_candgen_spmat", candgen(spmatCfg)},
-		{"overlap_e2e_kmertable", e2e(probeCfg)},
-		{"overlap_e2e_spmat", e2e(spmatCfg)},
-		{"overlap_spmat_serial", candgen(spmatSerial)},
-		{"overlap_spmat_parallel", candgen(spmatCfg)},
+		{"overlap_candgen_kmertable", candgen(cfg)},
+		{"overlap_kmertable_serial", e2e(serial)},
+		{"overlap_kmertable_parallel", e2e(cfg)},
 	}
 	best := make([]testing.BenchmarkResult, len(probes))
 	for round := 0; round < 5; round++ {
@@ -706,8 +676,7 @@ func (h *harness) overlapbench() error {
 		fmt.Printf("  %-26s %12d ns/op %12d B/op %9d allocs/op\n",
 			p.name, r.NsPerOp(), r.AllocedBytesPerOp(), r.AllocsPerOp())
 	}
-	fmt.Printf("  candgen speedup: %.2fx\n", float64(rows[0].NsPerOp)/float64(rows[1].NsPerOp))
-	fmt.Printf("  e2e speedup:     %.2fx\n", float64(rows[2].NsPerOp)/float64(rows[3].NsPerOp))
+	fmt.Printf("  candgen share:   %.2f of the parallel stage\n", float64(rows[0].NsPerOp)/float64(rows[2].NsPerOp))
 
 	f, err := os.Create("BENCH_overlap.json")
 	if err != nil {

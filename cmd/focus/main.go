@@ -102,7 +102,6 @@ func main() {
 		retries   = flag.Int("rpc-retries", 0, "failover retries per task after application-level worker errors (stateless protocols only)")
 		callTO    = flag.Duration("call-timeout", 0, "per-RPC deadline; a worker exceeding it is disconnected and its task rescheduled (0 = no deadline)")
 		maxFails  = flag.Int("max-worker-failures", 0, "consecutive transport failures before a worker is permanently evicted (0 = default 3)")
-		ovlEngine = flag.String("overlap-engine", "kmer-table", "overlap candidate engine: kmer-table (seed index), suffix-array (seed index), or spmat (sparse matrix product); all produce identical records")
 		phsEngine = flag.String("phase-engine", "csr", "graph-cleaning scan engine: csr (flat adjacency, masked-product transitive reduction) or map (reference walker); both produce identical removals")
 		codec     = flag.String("codec", "auto", "RPC wire codec: auto (binary, falling back to gob per worker), binary (required), or gob")
 		ckptDir   = flag.String("checkpoint-dir", "", "write crash-recovery checkpoints of the assembly phases to this directory")
@@ -158,16 +157,6 @@ func main() {
 	cfg.Watchdog = assembly.WatchdogConfig{Window: *watchdog}
 	if *ckptDir != "" {
 		resumeHint = fmt.Sprintf("focus: resume with -resume -checkpoint-dir %s", *ckptDir)
-	}
-	switch *ovlEngine {
-	case "kmer-table":
-		cfg.Overlap.Engine, cfg.Overlap.Indexing = focus.EngineSeedIndex, focus.IndexKmerTable
-	case "suffix-array":
-		cfg.Overlap.Engine, cfg.Overlap.Indexing = focus.EngineSeedIndex, focus.IndexSuffixArray
-	case "spmat":
-		cfg.Overlap.Engine = focus.EngineSpGEMM
-	default:
-		fatal(fmt.Errorf("focus: unknown -overlap-engine %q (kmer-table|suffix-array|spmat)", *ovlEngine))
 	}
 	switch *phsEngine {
 	case "csr":
@@ -325,8 +314,14 @@ func main() {
 // interrupted run leaves a resumable checkpoint behind.
 var resumeHint string
 
+// fatal prints err to stderr with exactly one "focus: " prefix (facade
+// errors already carry it) and exits.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "focus:", err)
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "focus: ") {
+		msg = "focus: " + msg
+	}
+	fmt.Fprintln(os.Stderr, msg)
 	if focus.IsInterrupted(err) {
 		if resumeHint != "" {
 			fmt.Fprintln(os.Stderr, resumeHint)

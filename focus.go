@@ -5,8 +5,7 @@
 //
 // The pipeline mirrors the paper: read preprocessing, k-mer seeded
 // pairwise overlap alignment over a per-subset seed index (a packed
-// k-mer table by default; the paper's suffix array remains selectable
-// via Config.Overlap.Indexing), overlap graph
+// k-mer table in place of the paper's suffix array), overlap graph
 // construction, multilevel coarsening by heavy-edge matching, hybrid
 // graph construction from best-representative read clusters, multilevel
 // graph partitioning (greedy growing + Kernighan–Lin + global k-way
@@ -46,33 +45,6 @@ type Stats = assembly.Stats
 
 // TrimStats report what distributed graph trimming removed.
 type TrimStats = assembly.TrimStats
-
-// Indexing selects the overlap-stage seed index (re-exported so API users
-// outside the module can set Config.Overlap.Indexing).
-type Indexing = overlap.Indexing
-
-const (
-	// IndexKmerTable is the default packed k-mer seed index (fastest).
-	IndexKmerTable = overlap.IndexKmerTable
-	// IndexSuffixArray selects the paper's Larsson–Sadakane suffix array.
-	IndexSuffixArray = overlap.IndexSuffixArray
-)
-
-// Engine selects the overlap-stage candidate-generation engine
-// (re-exported so API users outside the module can set
-// Config.Overlap.Engine). All engines produce byte-identical overlap
-// records.
-type Engine = overlap.Engine
-
-const (
-	// EngineSeedIndex is the default per-probe seed-index engine (the
-	// structure is picked by Config.Overlap.Indexing).
-	EngineSeedIndex = overlap.EngineSeedIndex
-	// EngineSpGEMM derives candidate pairs as a masked sparse
-	// matrix product over the read-by-k-mer matrix (internal/spmat) —
-	// faster candidate generation on repeat-heavy inputs.
-	EngineSpGEMM = overlap.EngineSpGEMM
-)
 
 // PhaseEngine selects the graph-cleaning scan implementation
 // (re-exported so API users outside the module can set

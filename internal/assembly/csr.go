@@ -120,7 +120,7 @@ func (x *idIndex) get(id int32) int32 {
 
 // blockStage is one row block's staged output; blocks are assembled in
 // index order after the parallel scan, keeping results independent of the
-// worker count (the same contract as the spmat product).
+// worker count (the par.Blocks contract).
 type blockStage struct {
 	pairs []EdgePair
 	nodes []int32

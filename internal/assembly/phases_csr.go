@@ -18,8 +18,8 @@ import (
 // (Parallel String Graph Construction and Transitive Reduction): for each
 // local row v the direct successors' diagonals — the sparse row Diag(v,·)
 // of A — are stamped into a generation-cleared dense/hash accumulator
-// (spmat.StampAccum, the BELLA-style switch shared with the overlap
-// product), then the two-hop products Diag(v,w)+Diag(w,x) of A·A are
+// (spmat.StampAccum, BELLA's heavy-row dense/hash switch), then the
+// two-hop products Diag(v,w)+Diag(w,x) of A·A are
 // compared against the mask A under DiagTolerance.
 
 // Per-scan fan-out constants: blockRows is the staging grain (fixed, so

@@ -1,6 +1,7 @@
 package overlap
 
 import (
+	"math/rand"
 	"testing"
 
 	"focus/internal/dna"
@@ -19,12 +20,12 @@ func benchReads(b *testing.B, n int) []dna.Read {
 	return reads[:n]
 }
 
-func benchmarkFindOverlaps(b *testing.B, cfg Config) {
+func benchmarkFindOverlaps(b *testing.B, cfg Config, build indexBuilder) {
 	reads := benchReads(b, 400)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		recs, err := FindOverlaps(reads, 4, cfg)
+		recs, _, err := findOverlaps(nil, reads, 4, cfg, build, false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -34,16 +35,25 @@ func benchmarkFindOverlaps(b *testing.B, cfg Config) {
 	}
 }
 
-// BenchmarkFindOverlaps contrasts the two seed-index modes on identical
-// inputs (the acceptance gate for the packed k-mer table: >=2x throughput
-// and >=10x lower allocs/op vs the seed suffix-array implementation).
+// benchIndexes are the seed indexes the benchmarks contrast: the
+// production k-mer table and the suffix-array oracle it replaced.
+var benchIndexes = []struct {
+	name  string
+	build indexBuilder
+}{
+	{"kmer-table", buildRefIndex},
+	{"suffix-array", buildSAIndex},
+}
+
+// BenchmarkFindOverlaps contrasts the k-mer table with the suffix-array
+// oracle on identical inputs (the acceptance gate for the packed k-mer
+// table: >=2x throughput and >=10x lower allocs/op).
 func BenchmarkFindOverlaps(b *testing.B) {
-	for _, mode := range []Indexing{IndexKmerTable, IndexSuffixArray} {
-		b.Run(mode.String(), func(b *testing.B) {
+	for _, ix := range benchIndexes {
+		b.Run(ix.name, func(b *testing.B) {
 			cfg := DefaultConfig()
 			cfg.Workers = 4
-			cfg.Indexing = mode
-			benchmarkFindOverlaps(b, cfg)
+			benchmarkFindOverlaps(b, cfg, ix.build)
 		})
 	}
 }
@@ -71,17 +81,14 @@ func BenchmarkSeedLookup(b *testing.B) {
 			probes = append(probes, km)
 		}
 	}
-	for _, mode := range []Indexing{IndexKmerTable, IndexSuffixArray} {
-		b.Run(mode.String(), func(b *testing.B) {
-			cfg := cfg
-			cfg.Indexing = mode
-			ix := buildRefIndex(seqs, ids, cfg)
-			sc := new(scratch)
+	for _, bi := range benchIndexes {
+		b.Run(bi.name, func(b *testing.B) {
+			ix := bi.build(seqs, ids, cfg.K)
 			total := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				hits, _ := ix.seedHits(probes[i%len(probes)], cfg.MaxOccur, sc)
+				hits, _ := ix.seedHits(probes[i%len(probes)], cfg.MaxOccur)
 				total += len(hits)
 			}
 			if total == 0 {
@@ -101,17 +108,52 @@ func BenchmarkIndexBuild(b *testing.B) {
 		ids[i] = int32(i)
 		seqs[i] = r.Seq
 	}
-	for _, mode := range []Indexing{IndexKmerTable, IndexSuffixArray} {
-		b.Run(mode.String(), func(b *testing.B) {
-			cfg := cfg
-			cfg.Indexing = mode
+	for _, bi := range benchIndexes {
+		b.Run(bi.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if ix := buildRefIndex(seqs, ids, cfg); ix.numReads() != len(reads) {
+				if ix := bi.build(seqs, ids, cfg.K); ix.numReads() != len(reads) {
 					b.Fatal("bad index")
 				}
 			}
 		})
+	}
+}
+
+// repeatHeavyReads builds the overlapbench geometry: a high-copy
+// interspersed repeat whose seeds all cross MaxOccur, tiled into
+// error-free 100 bp reads.
+func repeatHeavyReads(copies int) []dna.Read {
+	rng := rand.New(rand.NewSource(11))
+	bases := []byte("ACGT")
+	seq := func(n int) []byte {
+		s := make([]byte, n)
+		for i := range s {
+			s[i] = bases[rng.Intn(4)]
+		}
+		return s
+	}
+	repeat := seq(600)
+	var genome []byte
+	for i := 0; i < copies; i++ {
+		genome = append(genome, seq(600)...)
+		genome = append(genome, repeat...)
+	}
+	return tilingReads(genome, 100, 40)
+}
+
+// BenchmarkCandGen times candidate generation alone on the
+// repeat-heavy overlapbench geometry with dense seeding.
+func BenchmarkCandGen(b *testing.B) {
+	reads := repeatHeavyReads(96)
+	cfg := DefaultConfig()
+	cfg.Step = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := CountCandidates(reads, 3, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

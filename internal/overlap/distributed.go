@@ -41,10 +41,7 @@ var scratchPool = sync.Pool{New: func() interface{} { return new(scratch) }}
 // AlignPair executes one job (the worker half; assembly.Service exposes
 // it over RPC).
 func AlignPair(args *AlignPairArgs) []Record {
-	if args.Cfg.Engine == EngineSpGEMM {
-		return alignPairSpmat(args)
-	}
-	ref := buildRefIndex(args.RefSeqs, args.RefIDs, args.Cfg)
+	ref := buildRefIndex(args.RefSeqs, args.RefIDs, args.Cfg.K)
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	recs := alignQueries(args.QueryIDs, args.QuerySeqs, ref, args.Cfg, sc)
@@ -67,19 +64,7 @@ func FindOverlapsDistributedCtx(ctx context.Context, pool *dist.Pool, reads []dn
 	if err := validate(cfg, subsets); err != nil {
 		return nil, err
 	}
-	bounds := make([]int, subsets+1)
-	for i := 0; i <= subsets; i++ {
-		bounds[i] = i * len(reads) / subsets
-	}
-	slice := func(s int) ([]int32, [][]byte) {
-		ids := make([]int32, 0, bounds[s+1]-bounds[s])
-		seqs := make([][]byte, 0, bounds[s+1]-bounds[s])
-		for i := bounds[s]; i < bounds[s+1]; i++ {
-			ids = append(ids, int32(i))
-			seqs = append(seqs, reads[i].Seq)
-		}
-		return ids, seqs
-	}
+	subIDs, subSeqs := splitSubsets(reads, subsets)
 	type pair struct{ q, r int }
 	var jobs []pair
 	for i := 0; i < subsets; i++ {
@@ -92,9 +77,8 @@ func FindOverlapsDistributedCtx(ctx context.Context, pool *dist.Pool, reads []dn
 		replies[i] = &AlignPairReply{}
 	}
 	_, err := pool.ParallelCallsRetryCtx(ctx, len(jobs), "AlignPair", func(t int) interface{} {
-		qIDs, qSeqs := slice(jobs[t].q)
-		rIDs, rSeqs := slice(jobs[t].r)
-		return &AlignPairArgs{RefIDs: rIDs, RefSeqs: rSeqs, QueryIDs: qIDs, QuerySeqs: qSeqs, Cfg: cfg}
+		q, r := jobs[t].q, jobs[t].r
+		return &AlignPairArgs{RefIDs: subIDs[r], RefSeqs: subSeqs[r], QueryIDs: subIDs[q], QuerySeqs: subSeqs[q], Cfg: cfg}
 	}, replies, cfg.RPCRetries)
 	if err != nil {
 		// A canceled run must surface the cancellation, not degrade: the

@@ -7,6 +7,7 @@ import (
 
 	"focus/internal/align"
 	"focus/internal/dist"
+	"focus/internal/dna"
 )
 
 // alignService exposes AlignPair for the distributed tests without
@@ -20,15 +21,31 @@ func (s *alignService) AlignPair(args *AlignPairArgs, reply *AlignPairReply) err
 
 func newAlignService() interface{} { return &alignService{} }
 
+// TestFindOverlapsDistributedMatchesLocal: records from subset-pair jobs
+// run by RPC workers are byte-identical to the local driver's on plain
+// tiling reads.
 func TestFindOverlapsDistributedMatchesLocal(t *testing.T) {
-	genome := randGenome(150, 2500)
-	reads := tilingReads(genome, 100, 35)
-	cfg := testConfig()
+	checkDistributedMatchesLocal(t, tilingReads(randGenome(150, 2500), 100, 35))
+}
 
+// TestSpGEMMDistributedMatchesLocal runs the same check on a read set with
+// reverse-complement pairs and containments. The name dates from the
+// removed SpGEMM engine, whose worker branch it first covered; the read set
+// now goes through the k-mer table driver, the only one left.
+func TestSpGEMMDistributedMatchesLocal(t *testing.T) {
+	checkDistributedMatchesLocal(t, rcReadSet(42, 2200))
+}
+
+func checkDistributedMatchesLocal(t *testing.T, reads []dna.Read) {
+	t.Helper()
+	cfg := testConfig()
 	for _, subsets := range []int{1, 3} {
 		local, err := FindOverlaps(reads, subsets, cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(local) == 0 {
+			t.Fatal("degenerate test: no overlaps")
 		}
 		pool, err := dist.NewLocalPool(2, newAlignService)
 		if err != nil {

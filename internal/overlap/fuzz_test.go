@@ -24,6 +24,11 @@ func FuzzWireDecoders(f *testing.F) {
 		{A: 1, B: 2, Kind: align.KindPrefixSuffix, Len: 80, Identity: 0.99, Diag: -7},
 	}}
 	f.Add(true, args.AppendTo(nil))
+	// Non-default settings in every field of the wire Config layout, so
+	// the seed exercises each byte the layout carries.
+	full := *args
+	full.Cfg.Seeding, full.Cfg.MinimizerW, full.Cfg.MaxOccur, full.Cfg.RPCRetries = SeedMinimizer, 5, 8, 2
+	f.Add(true, full.AppendTo(nil))
 	f.Add(false, reply.AppendTo(nil))
 	f.Add(true, []byte{})
 	f.Add(false, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})

@@ -1,11 +1,6 @@
 package overlap
 
-import (
-	"sort"
-
-	"focus/internal/dna"
-	"focus/internal/suffixarray"
-)
+import "focus/internal/dna"
 
 // seedHit is one occurrence of a seed k-mer in a reference subset:
 // the subset-local read index and the offset of the k-mer within it.
@@ -15,31 +10,22 @@ type seedHit struct {
 }
 
 // refIndex is the seed-lookup structure built over one reference read
-// subset. Two implementations exist: the packed k-mer table (default,
-// IndexKmerTable) and the Larsson–Sadakane suffix array
-// (IndexSuffixArray). Both report exactly the same occurrence sets, so
-// FindOverlaps output is index-independent (asserted by
-// TestIndexingEquivalence).
+// subset. Production always builds the packed k-mer table (kmerIndex);
+// the interface is the seam that lets the equivalence tests run the
+// same driver over the paper's suffix array as a reference oracle.
 type refIndex interface {
 	numReads() int
 	readID(local int32) int32 // global read id
 	readSeq(local int32) []byte
 	// seedHits returns every occurrence of km in the subset. When
 	// maxOccur > 0 and the k-mer occurs more often than that, it returns
-	// masked=true and no hits (repeat masking). The returned slice is
-	// only valid until the next seedHits call on the same scratch.
-	seedHits(km dna.Kmer, maxOccur int, sc *scratch) (hits []seedHit, masked bool)
+	// masked=true and no hits (repeat masking). The returned slice must
+	// not be modified by the caller.
+	seedHits(km dna.Kmer, maxOccur int) (hits []seedHit, masked bool)
 }
 
-// buildRefIndex builds the configured index over a read subset. The seq
-// slices are retained (not copied); global[i] is the global read id of
-// subset-local read i.
-func buildRefIndex(seqs [][]byte, global []int32, cfg Config) refIndex {
-	if cfg.Indexing == IndexSuffixArray {
-		return buildSAIndex(seqs, global, cfg.K)
-	}
-	return buildKmerIndex(seqs, global, cfg.K)
-}
+// indexBuilder builds a refIndex over a read subset for seed length k.
+type indexBuilder func(seqs [][]byte, global []int32, k int) refIndex
 
 // kmerIndex is a sorted packed k-mer table: every k-mer of the subset is
 // enumerated once at build time into (kmer, read, offset) entries sorted
@@ -61,7 +47,10 @@ type kmerEntry struct {
 	hit seedHit
 }
 
-func buildKmerIndex(seqs [][]byte, global []int32, k int) *kmerIndex {
+// buildRefIndex builds the packed k-mer table over a read subset. The seq
+// slices are retained (not copied); global[i] is the global read id of
+// subset-local read i.
+func buildRefIndex(seqs [][]byte, global []int32, k int) refIndex {
 	ix := &kmerIndex{k: k, reads: global, seqs: seqs}
 	// Upper bound on the entry count (exact for N-free reads).
 	bound := 0
@@ -140,7 +129,7 @@ func (ix *kmerIndex) numReads() int              { return len(ix.reads) }
 func (ix *kmerIndex) readID(local int32) int32   { return ix.reads[local] }
 func (ix *kmerIndex) readSeq(local int32) []byte { return ix.seqs[local] }
 
-func (ix *kmerIndex) seedHits(km dna.Kmer, maxOccur int, _ *scratch) ([]seedHit, bool) {
+func (ix *kmerIndex) seedHits(km dna.Kmer, maxOccur int) ([]seedHit, bool) {
 	v := uint64(km)
 	// Hand-rolled binary search: no closure, provably allocation-free.
 	lo, hi := 0, len(ix.keys)
@@ -160,61 +149,4 @@ func (ix *kmerIndex) seedHits(km dna.Kmer, maxOccur int, _ *scratch) ([]seedHit,
 		return nil, true
 	}
 	return ix.posts[a:b], false
-}
-
-// saIndex is the original suffix-array index over the concatenation of
-// one read subset, with '#' separators so matches cannot span reads. Kept
-// selectable (IndexSuffixArray) so the Larsson–Sadakane code stays
-// exercised and as the reference for the cross-index equivalence tests.
-type saIndex struct {
-	sa *suffixarray.Array
-	k  int
-	// starts[i] is the offset of read i (subset-local) in the text.
-	starts []int
-	reads  []int32
-	seqs   [][]byte
-}
-
-func buildSAIndex(seqs [][]byte, global []int32, k int) *saIndex {
-	total := 0
-	for _, s := range seqs {
-		total += len(s) + 1
-	}
-	text := make([]byte, 0, total)
-	ix := &saIndex{k: k, reads: global, seqs: seqs, starts: make([]int, 0, len(seqs))}
-	for _, s := range seqs {
-		ix.starts = append(ix.starts, len(text))
-		text = append(text, s...)
-		text = append(text, '#')
-	}
-	ix.sa = suffixarray.New(text)
-	return ix
-}
-
-func (ix *saIndex) numReads() int              { return len(ix.reads) }
-func (ix *saIndex) readID(local int32) int32   { return ix.reads[local] }
-func (ix *saIndex) readSeq(local int32) []byte { return ix.seqs[local] }
-
-// locate maps a text position to (subset-local read, offset within read).
-func (ix *saIndex) locate(pos int) (read, off int) {
-	i := sort.Search(len(ix.starts), func(i int) bool { return ix.starts[i] > pos }) - 1
-	return i, pos - ix.starts[i]
-}
-
-func (ix *saIndex) seedHits(km dna.Kmer, maxOccur int, sc *scratch) ([]seedHit, bool) {
-	sc.pat = km.AppendBytes(sc.pat[:0], ix.k)
-	maxHits := -1
-	if maxOccur > 0 {
-		maxHits = maxOccur + 1
-	}
-	positions := ix.sa.Lookup(sc.pat, maxHits)
-	if dna.RepeatMasked(len(positions), maxOccur) {
-		return nil, true
-	}
-	sc.saHits = sc.saHits[:0]
-	for _, pos := range positions {
-		r, off := ix.locate(pos)
-		sc.saHits = append(sc.saHits, seedHit{read: int32(r), off: int32(off)})
-	}
-	return sc.saHits, false
 }

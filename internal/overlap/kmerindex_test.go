@@ -3,11 +3,9 @@ package overlap
 import (
 	"math/rand"
 	"sort"
-	"strings"
 	"testing"
 
 	"focus/internal/dna"
-	"focus/internal/spmat"
 )
 
 // rcReadSet builds a randomized read set with the geometries the overlap
@@ -36,21 +34,12 @@ func rcReadSet(seed int64, genomeLen int) []dna.Read {
 	return reads
 }
 
-// TestIndexingEquivalence asserts the acceptance criterion: FindOverlaps
-// returns byte-identical, sorted records across all three engines —
-// suffix array, k-mer table, and the spmat SpGEMM engine (the latter at
-// workers 1/2/8) — on randomized read sets (including reverse-complement
-// pairs and containments), across subset counts and seeding modes.
+// TestIndexingEquivalence asserts that FindOverlaps (the packed k-mer
+// table, at workers 1/2/8) returns byte-identical, sorted records to the
+// same driver run over the suffix-array oracle, on randomized read sets
+// (including reverse-complement pairs and containments), across subset
+// counts and seeding modes.
 func TestIndexingEquivalence(t *testing.T) {
-	variants := []struct {
-		name string
-		set  func(*Config)
-	}{
-		{"kmer-table", func(c *Config) { c.Indexing = IndexKmerTable }},
-		{"spmat-w1", func(c *Config) { c.Engine = EngineSpGEMM; c.Workers = 1 }},
-		{"spmat-w2", func(c *Config) { c.Engine = EngineSpGEMM; c.Workers = 2 }},
-		{"spmat-w8", func(c *Config) { c.Engine = EngineSpGEMM; c.Workers = 8 }},
-	}
 	for _, tc := range []struct {
 		name string
 		mut  func(*Config)
@@ -66,28 +55,25 @@ func TestIndexingEquivalence(t *testing.T) {
 				for _, subsets := range []int{1, 3} {
 					cfg := testConfig()
 					tc.mut(&cfg)
-					cfg.Indexing = IndexSuffixArray
-					want, err := FindOverlaps(reads, subsets, cfg)
+					want, _, err := findOverlaps(nil, reads, subsets, cfg, buildSAIndex, false)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if len(want) == 0 {
 						t.Fatalf("seed=%d: no overlaps found at all", seed)
 					}
-					for _, v := range variants {
-						vcfg := testConfig()
-						tc.mut(&vcfg)
-						v.set(&vcfg)
-						got, err := FindOverlaps(reads, subsets, vcfg)
+					for _, workers := range []int{1, 2, 8} {
+						cfg.Workers = workers
+						got, err := FindOverlaps(reads, subsets, cfg)
 						if err != nil {
 							t.Fatal(err)
 						}
 						if len(got) != len(want) {
-							t.Fatalf("seed=%d subsets=%d: %d records (%s) vs %d (suffix array)", seed, subsets, len(got), v.name, len(want))
+							t.Fatalf("seed=%d subsets=%d workers=%d: %d records vs %d (suffix array)", seed, subsets, workers, len(got), len(want))
 						}
 						for i := range want {
 							if got[i] != want[i] {
-								t.Fatalf("seed=%d subsets=%d record %d: %+v (%s) vs %+v (suffix array)", seed, subsets, i, got[i], v.name, want[i])
+								t.Fatalf("seed=%d subsets=%d workers=%d record %d: %+v vs %+v (suffix array)", seed, subsets, workers, i, got[i], want[i])
 							}
 						}
 						if !sort.SliceIsSorted(got, func(i, j int) bool {
@@ -96,7 +82,7 @@ func TestIndexingEquivalence(t *testing.T) {
 							}
 							return got[i].B < got[j].B
 						}) {
-							t.Fatalf("seed=%d (%s): records not sorted", seed, v.name)
+							t.Fatalf("seed=%d workers=%d: records not sorted", seed, workers)
 						}
 					}
 				}
@@ -105,38 +91,43 @@ func TestIndexingEquivalence(t *testing.T) {
 	}
 }
 
-// spmatSeedHits adapts the pruned spmat transpose to probe-level
-// queries so TestSeedHitsEquivalence can compare it against the seed
-// indexes: dictionary binary search, postings from the CSC arrays,
-// masking from the pruning bitmap (the cap was applied at build time).
-func spmatSeedHits(ref *spmat.Transpose, km dna.Kmer) ([]seedHit, bool) {
-	v := uint64(km)
-	lo, hi := 0, len(ref.Keys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ref.Keys[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
+// TestCountCandidatesEngineAgreement: the k-mer table and the suffix-array
+// oracle implement the same candidate-generation semantics, so the
+// surviving-candidate totals must match exactly.
+func TestCountCandidatesEngineAgreement(t *testing.T) {
+	for seed := int64(5); seed < 8; seed++ {
+		reads := rcReadSet(seed, 1600)
+		for _, subsets := range []int{1, 3} {
+			for _, mut := range []func(*Config){
+				func(*Config) {},
+				func(c *Config) { c.MaxOccur = 8 },
+				func(c *Config) { c.Seeding = SeedMinimizer },
+			} {
+				cfg := testConfig()
+				mut(&cfg)
+				got, err := CountCandidates(reads, subsets, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, want, err := findOverlaps(nil, reads, subsets, cfg, buildSAIndex, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("seed=%d subsets=%d: %d candidates (kmer table) vs %d (suffix array)", seed, subsets, got, want)
+				}
+				if got == 0 {
+					t.Fatalf("seed=%d subsets=%d: no candidates at all", seed, subsets)
+				}
+			}
 		}
 	}
-	if lo == len(ref.Keys) || ref.Keys[lo] != v {
-		return nil, false
-	}
-	if ref.IsMasked(lo) {
-		return nil, true
-	}
-	var hits []seedHit
-	for p := ref.ColStart[lo]; p < ref.ColStart[lo+1]; p++ {
-		hits = append(hits, seedHit{read: ref.Rows[p], off: ref.Pos[p]})
-	}
-	return hits, false
 }
 
-// TestSeedHitsEquivalence compares the seed structures of all three
-// engines at the probe level: identical occurrence sets and identical
-// repeat-mask decisions for every k-mer of the indexed reads, including
-// reads containing Ns.
+// TestSeedHitsEquivalence compares the k-mer table against the
+// suffix-array oracle at the probe level: identical occurrence sets and
+// identical repeat-mask decisions for every k-mer of the indexed reads,
+// including reads containing Ns.
 func TestSeedHitsEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 20; trial++ {
@@ -157,23 +148,17 @@ func TestSeedHitsEquivalence(t *testing.T) {
 			seqs[i] = s
 			ids[i] = int32(100 + i)
 		}
-		cfg := Config{K: k}
-		kix := buildRefIndex(seqs, ids, cfg)
-		cfg.Indexing = IndexSuffixArray
-		six := buildRefIndex(seqs, ids, cfg)
+		kix := buildRefIndex(seqs, ids, k)
+		six := buildSAIndex(seqs, ids, k)
 		maxOccur := rng.Intn(4) // 0 = unlimited
-		tix := spmat.BuildFromSeqs(seqs, k).Transpose(maxOccur, 1)
-		sc1, sc2 := new(scratch), new(scratch)
 		probe := func(km dna.Kmer) {
-			h1, m1 := kix.seedHits(km, maxOccur, sc1)
-			h2, m2 := six.seedHits(km, maxOccur, sc2)
-			h3, m3 := spmatSeedHits(tix, km)
-			if m1 != m2 || m1 != m3 {
-				t.Fatalf("trial=%d k=%d km=%s: masked %v (kmer) vs %v (sa) vs %v (spmat)", trial, k, km.String(k), m1, m2, m3)
+			h1, m1 := kix.seedHits(km, maxOccur)
+			h2, m2 := six.seedHits(km, maxOccur)
+			if m1 != m2 {
+				t.Fatalf("trial=%d k=%d km=%s: masked %v (kmer) vs %v (sa)", trial, k, km.String(k), m1, m2)
 			}
 			s1 := append([]seedHit(nil), h1...)
 			s2 := append([]seedHit(nil), h2...)
-			s3 := append([]seedHit(nil), h3...)
 			less := func(s []seedHit) func(i, j int) bool {
 				return func(i, j int) bool {
 					if s[i].read != s[j].read {
@@ -184,13 +169,12 @@ func TestSeedHitsEquivalence(t *testing.T) {
 			}
 			sort.Slice(s1, less(s1))
 			sort.Slice(s2, less(s2))
-			sort.Slice(s3, less(s3))
-			if len(s1) != len(s2) || len(s1) != len(s3) {
-				t.Fatalf("trial=%d k=%d km=%s: %d hits (kmer) vs %d (sa) vs %d (spmat)", trial, k, km.String(k), len(s1), len(s2), len(s3))
+			if len(s1) != len(s2) {
+				t.Fatalf("trial=%d k=%d km=%s: %d hits (kmer) vs %d (sa)", trial, k, km.String(k), len(s1), len(s2))
 			}
 			for i := range s1 {
-				if s1[i] != s2[i] || s1[i] != s3[i] {
-					t.Fatalf("trial=%d km=%s hit %d: %+v vs %+v vs %+v", trial, km.String(k), i, s1[i], s2[i], s3[i])
+				if s1[i] != s2[i] {
+					t.Fatalf("trial=%d km=%s hit %d: %+v vs %+v", trial, km.String(k), i, s1[i], s2[i])
 				}
 			}
 		}
@@ -211,43 +195,10 @@ func TestSeedHitsEquivalence(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsUnknownIndexing covers the new config validation.
-func TestValidateRejectsUnknownIndexing(t *testing.T) {
-	cfg := testConfig()
-	cfg.Indexing = Indexing(9)
-	if _, err := FindOverlaps(rcReadSet(1, 500), 1, cfg); err == nil {
-		t.Error("unknown indexing mode accepted")
-	}
-	if got := cfg.Indexing.String(); got != "Indexing(9)" {
-		t.Errorf("String() = %q", got)
-	}
-	if IndexKmerTable.String() != "kmer-table" || IndexSuffixArray.String() != "suffix-array" {
-		t.Error("mode names changed")
-	}
-}
-
-// TestValidateRejectsUnknownEngine covers the engine config validation.
-func TestValidateRejectsUnknownEngine(t *testing.T) {
-	cfg := testConfig()
-	cfg.Engine = Engine(9)
-	if _, err := FindOverlaps(rcReadSet(1, 500), 1, cfg); err == nil {
-		t.Error("unknown engine accepted")
-	}
-	if _, err := CountCandidates(rcReadSet(1, 500), 1, cfg); err == nil {
-		t.Error("CountCandidates accepted unknown engine")
-	}
-	if got := cfg.Engine.String(); got != "Engine(9)" {
-		t.Errorf("String() = %q", got)
-	}
-	if EngineSeedIndex.String() != "seed-index" || EngineSpGEMM.String() != "spmat" {
-		t.Error("engine names changed")
-	}
-}
-
 // TestRepeatThresholdBoundary pins the shared occurrence-cap semantics
-// (dna.RepeatMasked) at the boundary for every seed structure: a k-mer
-// occurring exactly MaxOccur times is kept, one more occurrence masks
-// it, and cap <= 0 never masks.
+// (dna.RepeatMasked) at the boundary for the k-mer table and the
+// suffix-array oracle: a k-mer occurring exactly MaxOccur times is kept,
+// one more occurrence masks it, and cap <= 0 never masks.
 func TestRepeatThresholdBoundary(t *testing.T) {
 	const cap = 3
 	k := 4
@@ -268,41 +219,22 @@ func TestRepeatThresholdBoundary(t *testing.T) {
 		t.Fatal("dna.RepeatMasked boundary semantics changed")
 	}
 
-	probes := map[string]func(km dna.Kmer, maxOccur int) (int, bool){}
-	kix := buildRefIndex(seqs, ids, Config{K: k})
-	six := buildRefIndex(seqs, ids, Config{K: k, Indexing: IndexSuffixArray})
-	sc := new(scratch)
-	probes["kmer-table"] = func(km dna.Kmer, mo int) (int, bool) {
-		h, m := kix.seedHits(km, mo, sc)
-		return len(h), m
-	}
-	probes["suffix-array"] = func(km dna.Kmer, mo int) (int, bool) {
-		h, m := six.seedHits(km, mo, sc)
-		return len(h), m
-	}
-	probes["spmat"] = func(km dna.Kmer, mo int) (int, bool) {
-		ref := spmat.BuildFromSeqs(seqs, k).Transpose(mo, 1)
-		h, m := spmatSeedHits(ref, km)
-		return len(h), m
-	}
-	names := make([]string, 0, len(probes))
-	for name := range probes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		probe := probes[name]
-		if n, m := probe(aaaa, cap); m || n != cap {
-			t.Errorf("%s: exactly-at-threshold k-mer dropped (hits=%d masked=%v)", name, n, m)
+	for _, ix := range []struct {
+		name  string
+		build indexBuilder
+	}{
+		{"kmer-table", buildRefIndex},
+		{"suffix-array", buildSAIndex},
+	} {
+		ref := ix.build(seqs, ids, k)
+		if h, m := ref.seedHits(aaaa, cap); m || len(h) != cap {
+			t.Errorf("%s: exactly-at-threshold k-mer dropped (hits=%d masked=%v)", ix.name, len(h), m)
 		}
-		if _, m := probe(cccc, cap); !m {
-			t.Errorf("%s: over-threshold k-mer kept", name)
+		if _, m := ref.seedHits(cccc, cap); !m {
+			t.Errorf("%s: over-threshold k-mer kept", ix.name)
 		}
-		if n, m := probe(cccc, 0); m || n != cap+1 {
-			t.Errorf("%s: cap=0 masked (hits=%d masked=%v)", name, n, m)
+		if h, m := ref.seedHits(cccc, 0); m || len(h) != cap+1 {
+			t.Errorf("%s: cap=0 masked (hits=%d masked=%v)", ix.name, len(h), m)
 		}
-	}
-	if !strings.Contains(EngineSpGEMM.String(), "spmat") {
-		t.Error("engine naming drifted") // keeps the CLI flag table honest
 	}
 }

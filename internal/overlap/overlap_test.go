@@ -1,6 +1,8 @@
 package overlap
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -213,6 +215,18 @@ func TestFindOverlapsConfigErrors(t *testing.T) {
 	}
 	if _, err := FindOverlaps(reads, 0, testConfig()); err == nil {
 		t.Error("0 subsets accepted")
+	}
+}
+
+// TestFindOverlapsCancel: a pre-canceled context aborts the driver with
+// the context's cause.
+func TestFindOverlapsCancel(t *testing.T) {
+	reads := rcReadSet(9, 1200)
+	cause := errors.New("overlap test cancel")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(cause)
+	if _, err := FindOverlapsCtx(ctx, reads, 3, testConfig()); !errors.Is(err, cause) {
+		t.Fatalf("err=%v, want cause", err)
 	}
 }
 

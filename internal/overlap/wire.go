@@ -92,8 +92,6 @@ func appendOverlapConfig(dst []byte, c *Config) []byte {
 	dst = dist.AppendVarint(dst, int64(c.Workers))
 	dst = append(dst, byte(c.Seeding))
 	dst = dist.AppendVarint(dst, int64(c.MinimizerW))
-	dst = append(dst, byte(c.Indexing))
-	dst = append(dst, byte(c.Engine))
 	return dist.AppendVarint(dst, int64(c.RPCRetries))
 }
 
@@ -106,8 +104,6 @@ func decodeOverlapConfig(rd *dist.WireReader, c *Config) {
 	c.Workers = int(rd.Varint())
 	c.Seeding = Seeding(rd.Byte())
 	c.MinimizerW = int(rd.Varint())
-	c.Indexing = Indexing(rd.Byte())
-	c.Engine = Engine(rd.Byte())
 	c.RPCRetries = int(rd.Varint())
 }
 

@@ -64,7 +64,7 @@ func randWireConfig(rng *rand.Rand) Config {
 			Scoring: align.Scoring{Match: rng.Intn(10) - 5, Mismatch: rng.Intn(10) - 5, Gap: rng.Intn(10) - 5},
 		},
 		Workers: rng.Intn(16), Seeding: Seeding(rng.Intn(256)), MinimizerW: rng.Intn(32),
-		Indexing: Indexing(rng.Intn(256)), RPCRetries: rng.Intn(5),
+		RPCRetries: rng.Intn(5),
 	}
 }
 
@@ -130,6 +130,12 @@ func TestWireAlignPairCorrupt(t *testing.T) {
 		if dst.DecodeFrom(enc[:cut]) == nil {
 			t.Fatalf("truncated frame (%d/%d bytes) decoded cleanly", cut, len(enc))
 		}
+	}
+	// A frame of the older Config layout carries two more selector bytes,
+	// which leave bytes over after decoding: it must be rejected, not
+	// misread.
+	if dst.DecodeFrom(append(append([]byte(nil), enc...), 0, 0)) == nil {
+		t.Fatal("frame with trailing config bytes decoded cleanly")
 	}
 	for trial := 0; trial < 200; trial++ {
 		mut := append([]byte(nil), enc...)

@@ -47,8 +47,8 @@ func Limit(requested int) int {
 // deterministic block-indexed fan-out. The block structure depends only
 // on size and grain — never on the worker count — so a stage that stages
 // its output per block and assembles the blocks in index order produces
-// identical results at any parallelism (the contract the spmat product
-// and its callers rely on). Block b covers items
+// identical results at any parallelism (the contract the CSR
+// graph-cleaning scans rely on). Block b covers items
 // [b*grain, min(size, (b+1)*grain)); the returned count is 0 only when
 // size <= 0.
 func Blocks(size, grain int) int {

@@ -1,10 +1,14 @@
+// Package pq implements an indexed, updatable max-priority queue keyed by
+// dense integer ids. It backs the gain queues of the greedy graph growing
+// algorithm and the D-value queues of the Kernighan–Lin refinement pass
+// (paper §IV.A–B), both of which need O(log n) priority updates addressed
+// by node id.
 package pq
 
-// Dense is Max specialized for dense ids in [0, n): the id->priority and
-// id->position maps are replaced by flat arrays, removing per-operation
-// map hashing and allocation from the partitioner's hot queues. Heap
-// order matches Max exactly (greater priority first, ties to the smaller
-// id), so swapping one for the other never changes results.
+// Dense is an indexed max-heap over ids in [0, n), each carrying an int64
+// priority. Priorities and heap positions live in flat arrays indexed by
+// id, so operations neither hash nor allocate. Ties are broken by smaller
+// id, so heap order is deterministic for a given operation sequence.
 type Dense struct {
 	ids  []int32 // heap of ids
 	prio []int64 // by id; valid only while queued

@@ -8,7 +8,7 @@ import (
 )
 
 func TestEmptyQueue(t *testing.T) {
-	q := NewMax(0)
+	q := NewDense(4)
 	if q.Len() != 0 {
 		t.Errorf("Len = %d", q.Len())
 	}
@@ -24,7 +24,7 @@ func TestEmptyQueue(t *testing.T) {
 }
 
 func TestPushPopOrder(t *testing.T) {
-	q := NewMax(4)
+	q := NewDense(4)
 	q.Push(1, 10)
 	q.Push(2, 30)
 	q.Push(3, 20)
@@ -42,7 +42,7 @@ func TestPushPopOrder(t *testing.T) {
 }
 
 func TestTieBreakById(t *testing.T) {
-	q := NewMax(4)
+	q := NewDense(10)
 	q.Push(9, 5)
 	q.Push(2, 5)
 	q.Push(7, 5)
@@ -60,7 +60,7 @@ func TestTieBreakById(t *testing.T) {
 }
 
 func TestUpdate(t *testing.T) {
-	q := NewMax(4)
+	q := NewDense(100)
 	q.Push(1, 10)
 	q.Push(2, 20)
 	q.Update(1, 30)
@@ -78,7 +78,7 @@ func TestUpdate(t *testing.T) {
 }
 
 func TestPushExistingUpdates(t *testing.T) {
-	q := NewMax(2)
+	q := NewDense(2)
 	q.Push(1, 10)
 	q.Push(1, 99)
 	if q.Len() != 1 {
@@ -90,7 +90,7 @@ func TestPushExistingUpdates(t *testing.T) {
 }
 
 func TestRemove(t *testing.T) {
-	q := NewMax(4)
+	q := NewDense(10)
 	for i := 0; i < 10; i++ {
 		q.Push(i, int64(i))
 	}
@@ -120,47 +120,32 @@ func TestRemove(t *testing.T) {
 }
 
 // TestAgainstReference drives the queue with random operations and compares
-// against a brute-force reference implementation.
+// against the brute-force refMax reference.
 func TestAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	q := NewMax(16)
-	ref := map[int]int64{}
-	refMax := func() (int, int64, bool) {
-		best, bestP, ok := 0, int64(0), false
-		for id, p := range ref {
-			if !ok || p > bestP || (p == bestP && id < best) {
-				best, bestP, ok = id, p, true
-			}
-		}
-		return best, bestP, ok
-	}
+	q := NewDense(40)
+	ref := refMax{}
 	for op := 0; op < 5000; op++ {
 		id := rng.Intn(40)
 		switch rng.Intn(4) {
 		case 0:
 			p := int64(rng.Intn(100) - 50)
 			q.Push(id, p)
-			ref[id] = p
+			ref.Push(id, p)
 		case 1:
-			if _, ok := ref[id]; ok {
-				p := int64(rng.Intn(100) - 50)
-				q.Update(id, p)
-				ref[id] = p
-			}
+			p := int64(rng.Intn(100) - 50)
+			q.Update(id, p)
+			ref.Update(id, p)
 		case 2:
-			got := q.Remove(id)
-			_, want := ref[id]
-			if got != want {
+			if got, want := q.Remove(id), ref.Remove(id); got != want {
 				t.Fatalf("op %d: Remove(%d) = %v, want %v", op, id, got, want)
 			}
-			delete(ref, id)
 		case 3:
 			gid, gp, gok := q.Pop()
-			wid, wp, wok := refMax()
+			wid, wp, wok := ref.Pop()
 			if gok != wok || (gok && (gid != wid || gp != wp)) {
 				t.Fatalf("op %d: Pop = (%d,%d,%v), want (%d,%d,%v)", op, gid, gp, gok, wid, wp, wok)
 			}
-			delete(ref, wid)
 		}
 		if q.Len() != len(ref) {
 			t.Fatalf("op %d: Len = %d, want %d", op, q.Len(), len(ref))
@@ -171,7 +156,7 @@ func TestAgainstReference(t *testing.T) {
 // TestHeapDrainSorted: popping everything yields non-increasing priorities.
 func TestHeapDrainSorted(t *testing.T) {
 	f := func(prios []int64) bool {
-		q := NewMax(len(prios))
+		q := NewDense(len(prios))
 		for i, p := range prios {
 			q.Push(i, p)
 		}

@@ -1,18 +1,50 @@
+// Package spmat holds the sparse-row accumulator of the assembly
+// transitive-reduction kernel, phrased as Guidi et al.'s masked sparse
+// product R = A·A (BELLA/diBELLA): a per-row map that switches between a
+// dense stamp array and open-addressing hashing by the row's size.
 package spmat
 
-// StampAccum is a generation-stamped int32→int32 map with the same
-// dense/hash accumulator switch as the masked product (useDense): heavy
-// rows over small key spaces use a directly indexed stamp array with an
-// O(1) generation clear, light rows over wide spaces use open-addressing
-// hashing sized to the row so the working set stays O(row). It backs the
-// assembly transitive-reduction kernel's direct-successor index — the
-// Diag(v,·) diagonal of Guidi et al.'s masked product R = A·A — and is
-// reusable by any row kernel that needs a cheap resettable sparse map.
+// Acc selects the per-row accumulator mode.
+type Acc uint8
+
+const (
+	// AccAuto switches per row by estimated work (BELLA's heavy-row
+	// rule): heavy rows use the generation-stamped dense accumulator,
+	// light rows over wide key spaces use open-addressing hashing.
+	AccAuto Acc = iota
+	// AccDense forces the dense accumulator (tests).
+	AccDense
+	// AccHash forces the hash accumulator (tests).
+	AccHash
+)
+
+// useDense implements the heavy-row switch: a row whose work estimate is
+// a sizable fraction of the key space (or a small key space outright)
+// amortizes the dense stamp array; sparse rows over wide spaces keep the
+// working set at O(work) via hashing.
+func useDense(acc Acc, work, numKeys int) bool {
+	switch acc {
+	case AccDense:
+		return true
+	case AccHash:
+		return false
+	}
+	return numKeys <= 4096 || work >= numKeys/8
+}
+
+// StampAccum is a generation-stamped int32→int32 map with the dense/hash
+// accumulator switch (useDense): heavy rows over small key spaces use a
+// directly indexed stamp array with an O(1) generation clear, light rows
+// over wide spaces use open-addressing hashing sized to the row so the
+// working set stays O(row). It backs the assembly transitive-reduction
+// kernel's direct-successor index — the Diag(v,·) diagonal of the masked
+// product R = A·A — and is reusable by any row kernel that needs a cheap
+// resettable sparse map.
 //
-// Like a Multiplier, a StampAccum is owned by exactly one goroutine at a
-// time; buffers grow on demand and amortize across rows. Mode selection
-// cannot change results: Set/Get have identical last-write-wins semantics
-// on both paths.
+// A StampAccum is owned by exactly one goroutine at a time; buffers grow
+// on demand and amortize across rows. Mode selection cannot change
+// results: Set/Get have identical last-write-wins semantics on both
+// paths.
 type StampAccum struct {
 	gen   uint32
 	dense []stampSlot // dense path: indexed directly by key

@@ -119,24 +119,21 @@ EOF
 echo "== overlapbench (BENCH_overlap.json) =="
 go run ./cmd/focus-bench -exp overlapbench
 
-# The SpGEMM engine's product is row-blocked over the par governor, so
-# like the graph check its parallel probe must never lose to serial —
-# and the candgen headline (spmat vs the k-mer-table probe path it
-# competes with) is printed for the drift record.
-echo "== regression check: spmat parallel vs serial =="
+# The overlap stage fans subset-pair jobs out over the par governor, so
+# like the graph check its parallel probe must never lose to serial.
+echo "== regression check: overlap parallel vs serial =="
 python3 - <<'EOF'
 import json, os, sys
 
 tol = float(os.environ.get("BENCH_TOLERANCE", "0.10"))
 fresh = {e["name"]: e["ns_per_op"] for e in json.load(open("BENCH_overlap.json"))}
 
-serial, parallel = fresh["overlap_spmat_serial"], fresh["overlap_spmat_parallel"]
+serial, parallel = fresh["overlap_kmertable_serial"], fresh["overlap_kmertable_parallel"]
 ratio = parallel / serial
 mark = "FAIL" if ratio > 1 + tol else "ok"
-print(f"  overlap_spmat_parallel   {ratio:5.2f}x of overlap_spmat_serial [{mark}]")
-print(f"  candgen speedup: {fresh['overlap_candgen_kmertable'] / fresh['overlap_candgen_spmat']:.2f}x (spmat vs kmertable)")
+print(f"  overlap_kmertable_parallel {ratio:5.2f}x of overlap_kmertable_serial [{mark}]")
 if ratio > 1 + tol:
-    msg = f"overlap_spmat_parallel ({ratio:.2f}x)"
+    msg = f"overlap_kmertable_parallel ({ratio:.2f}x)"
     if os.environ.get("BENCH_ALLOW_REGRESSION", "0") == "1":
         print(f"WARNING: parallel slower than serial: {msg}")
     else:
@@ -181,6 +178,6 @@ echo "== package micro-benchmarks =="
 go test -run xxx -bench 'Pack|Unpack' -benchtime 200ms ./internal/dna/
 go test -run xxx -bench 'LiveNeighbourQueries|SubgraphExtract' -benchtime 200ms ./internal/assembly/
 go test -run xxx -bench 'BandedNWBitParallel|OverlapKernel' -benchtime 200ms ./internal/align/
-go test -run xxx -bench 'Spmat|CandGen' -benchtime 200ms ./internal/spmat/ ./internal/overlap/
+go test -run xxx -bench 'CandGen' -benchtime 200ms ./internal/overlap/
 
 echo "ok"

@@ -60,8 +60,6 @@ if [ "$FUZZTIME" != "0" ]; then
     fuzz ./internal/overlap/ FuzzWireDecoders
     fuzz ./internal/checkpoint/ FuzzDecode
     fuzz ./internal/align/ FuzzBitParallelNW
-    fuzz ./internal/spmat/ FuzzCSRBuild
-    fuzz ./internal/spmat/ FuzzCandDecode
     fuzz ./internal/jobs/ FuzzJobWire
 fi
 
